@@ -1,14 +1,20 @@
-"""The hot path at 100k+ keys: encode-once and incremental digests.
+"""The hot path at 100k+ keys: encode-once and the per-shard index.
 
-Three cells, each gating one of the caches that keep the store's
+Four cells, each gating one of the caches that keep the store's
 per-tick work proportional to *what changed* instead of *what exists*:
 
 * ``test_incremental_root_beats_recompute`` — the repair plane's probe
   primitive on a 100 000-key keyspace: refreshing an
   :class:`~repro.sync.digest.IncrementalDigest` after a small write
   burst versus recomputing ``root_of(digest_of(state))`` from the full
-  join decomposition.  The cache re-fingerprints only the touched keys
-  (found by the identity scan), so the ratio grows with keyspace size.
+  join decomposition.  The burst's keys are marked dirty, so the
+  refresh visits only them and the ratio grows with keyspace size.
+
+* ``test_cached_diff_beats_digest_and_missing`` — the ``kv-diff``
+  reply on the same keyspace: the responder's digest plus what a peer
+  that missed one write burst lacks, answered from the index's cached
+  fingerprints versus :func:`~repro.sync.digest.digest_and_missing`,
+  which decomposes and fingerprints the whole state.
 
 * ``test_frame_memo_encodes_once`` — the codec boundary: one sync
   tick's fan-out of an identical δ-bundle to 8 neighbours.  The
@@ -41,7 +47,12 @@ from conftest import SCALE
 from repro.codec import frame_message
 from repro.lattice.map_lattice import MapLattice
 from repro.lattice.primitives import MaxInt
-from repro.sync.digest import IncrementalDigest, digest_of, root_of
+from repro.sync.digest import (
+    IncrementalDigest,
+    digest_and_missing,
+    digest_of,
+    root_of,
+)
 from repro.sync.protocol import Message
 
 #: Keyspace size of the digest micro-cell (the headline scale).
@@ -57,6 +68,7 @@ STORE_ROUNDS = {"quick": 5, "paper": 12}[SCALE]
 
 #: Minimum speedups the caches must deliver (regression gates).
 MIN_ROOT_SPEEDUP = 3.0
+MIN_DIFF_SPEEDUP = 3.0
 MIN_ENCODE_SPEEDUP = 3.0
 MIN_STORE_PROBE_SPEEDUP = 3.0
 
@@ -69,6 +81,14 @@ def _bulk_state(n: int) -> MapLattice:
     return MapLattice({f"k{i}": MaxInt(i % 997) for i in range(n)})
 
 
+def _burst(index: int) -> MapLattice:
+    """The ``index``-th write burst: ``TOUCH`` keys raised past any
+    earlier value."""
+    return MapLattice(
+        {f"k{(index * TOUCH + j) % KEYS}": MaxInt(100_000 + index) for j in range(TOUCH)}
+    )
+
+
 @pytest.mark.benchmark(group="hotpath")
 def test_incremental_root_beats_recompute(benchmark):
     state = _bulk_state(KEYS)
@@ -79,15 +99,10 @@ def test_incremental_root_beats_recompute(benchmark):
     current = [state]
 
     def mutate() -> MapLattice:
-        burst = counter[0]
+        delta = _burst(counter[0])
         counter[0] += 1
-        delta = MapLattice(
-            {
-                f"k{(burst * TOUCH + j) % KEYS}": MaxInt(100_000 + burst)
-                for j in range(TOUCH)
-            }
-        )
         current[0] = current[0].join(delta)
+        cache.mark(delta)  # what the store does with every joined delta
         return current[0]
 
     def setup():
@@ -116,6 +131,54 @@ def test_incremental_root_beats_recompute(benchmark):
     assert speedup >= MIN_ROOT_SPEEDUP, (
         f"incremental root refresh only {speedup:.1f}x faster than full "
         f"recompute (gate: {MIN_ROOT_SPEEDUP}x)"
+    )
+
+
+@pytest.mark.benchmark(group="hotpath")
+def test_cached_diff_beats_digest_and_missing(benchmark):
+    index = IncrementalDigest()
+    state = _bulk_state(KEYS)
+    index.root(state)  # warm: fingerprint every key once
+
+    counter = [0]
+    current = [state]
+
+    def setup():
+        # The peer holds the state as it was before this burst.
+        remote = index.digest(current[0])
+        delta = _burst(counter[0])
+        counter[0] += 1
+        current[0] = current[0].join(delta)
+        index.mark(delta)
+        return (current[0], remote), {}
+
+    def reply(state, remote):
+        return index.digest(state), index.missing(state, remote)
+
+    benchmark.pedantic(reply, setup=setup, rounds=10, iterations=1)
+    cached_s = benchmark.stats.stats.median
+
+    # The uncached reply on the same state and remote digest.
+    final, remote = setup()[0]
+    cached = reply(final, remote)
+    started = perf_counter()
+    expected = digest_and_missing(final, remote)
+    full_s = perf_counter() - started
+
+    assert cached == expected  # equality-to-recompute
+    assert len(expected[1]) == TOUCH
+    speedup = full_s / cached_s
+    _SECTIONS["diff"] = (
+        f"kv-diff reply @ {KEYS} keys, peer missing one {TOUCH}-key burst:\n"
+        f"  cached diff          {cached_s * 1e3:9.2f} ms/reply "
+        f"({1 / cached_s:,.0f} replies/s)\n"
+        f"  digest_and_missing   {full_s * 1e3:9.2f} ms/reply "
+        f"({1 / full_s:,.0f} replies/s)\n"
+        f"  speedup              {speedup:9.1f}x"
+    )
+    assert speedup >= MIN_DIFF_SPEEDUP, (
+        f"cached diff reply only {speedup:.1f}x faster than "
+        f"digest_and_missing (gate: {MIN_DIFF_SPEEDUP}x)"
     )
 
 
@@ -243,9 +306,11 @@ def test_store_hotpath_profile(benchmark, report_sink):
             f"  probe speedup    {speedup:9.1f}x\n"
             f"hot-path timers (replica 0..7 aggregate):\n{timer_lines}"
         )
-        report = "hot-path benchmark — encode-once + incremental digests\n\n"
+        report = "hot-path benchmark — encode-once + the per-shard index\n\n"
         report += "\n\n".join(
-            _SECTIONS[name] for name in ("root", "encode", "store") if name in _SECTIONS
+            _SECTIONS[name]
+            for name in ("root", "diff", "encode", "store")
+            if name in _SECTIONS
         )
         report_sink("hotpath", report)
 

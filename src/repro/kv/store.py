@@ -70,7 +70,7 @@ the post-crash remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.codec import decode, encode
 from repro.kv.antientropy import AntiEntropyConfig, AntiEntropyScheduler
@@ -81,6 +81,10 @@ from repro.lattice.map_lattice import MapLattice
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
+# ``delta_against_digest`` and ``digest_and_missing`` are not called
+# here (each shard's IncrementalDigest answers diffs from its cache);
+# they stay bound in this module because perfbench's layer tracer wraps
+# them under these names.
 from repro.sync.digest import (
     FINGERPRINT_BYTES,
     ROOT_BYTES,
@@ -110,22 +114,27 @@ class KVRoutingError(LookupError):
     """The key is not owned by this replica (ask the ring for owners)."""
 
 
-def _keyspace_novelty(before: MapLattice, after: MapLattice) -> MapLattice:
+def _keyspace_novelty(
+    before: MapLattice, after: MapLattice, keys: Optional[Iterable[Hashable]] = None
+) -> MapLattice:
     """The optimal delta ``∆(after, before)`` of one shard keyspace.
 
-    ``MapLattice.join`` copies its entry dict but *reuses* the value
-    objects of untouched keys, so a post-delivery state shares those
-    objects with the pre-delivery one.  Exploiting that, the scan costs
-    one identity check per key plus per-value ``∆`` work only where the
-    message actually landed — instead of decomposing the whole shard
-    state per delivered message, which would put O(shard) work on the
-    hot path of every WAL-enabled run.
+    ``keys`` names every key that may differ — the keys of the lattice
+    joined into ``before`` — so the cost is per-value ``∆`` work only
+    where the message actually landed, instead of decomposing the whole
+    shard per delivered message.  Without ``keys`` every key of
+    ``after`` is visited, and ``MapLattice.join``'s reuse of untouched
+    keys' value objects keeps that to one identity check per key.
     """
     if after is before:
         return after.bottom_like()
     previous = before.entries
+    current = after.entries
     changed: Dict = {}
-    for key, value in after.entries.items():
+    for key in current if keys is None else keys:
+        value = current.get(key)
+        if value is None:
+            continue
         mine = previous.get(key)
         if mine is value:
             continue
@@ -200,11 +209,9 @@ class KVStore(Synchronizer):
         #: Wire messages that arrived for a shard the current ring does
         #: not place here — in-flight traffic outrun by a rebalance.
         self.stale_shard_messages = 0
-        #: Per-shard incremental digest/root caches.  Identity-based
-        #: refresh makes them self-correcting, so they survive ring
-        #: swaps and synchronizer replacement without invalidation
-        #: hooks; :meth:`apply_ring` merely prunes shards that left.
-        self._digests: Dict[int, IncrementalDigest] = {}
+        #: Per-shard indexes (fingerprints, root, sizes), created on
+        #: first use and refreshed from the keys :meth:`_touched` marks.
+        self._indexes: Dict[int, IncrementalDigest] = {}
         self.schema = schema if schema is not None else Schema()
         #: This replica's metrics registry — the single observability
         #: namespace the runtime's ``metrics`` view exposes.  A cluster
@@ -254,13 +261,23 @@ class KVStore(Synchronizer):
             size_model=self.size_model,
         )
 
-    def _shard_digest(self, shard: int) -> IncrementalDigest:
-        """The shard's incremental digest cache (created on first use)."""
-        cache = self._digests.get(shard)
-        if cache is None:
-            cache = IncrementalDigest()
-            self._digests[shard] = cache
-        return cache
+    def _shard_index(self, shard: int) -> IncrementalDigest:
+        """The shard's index (created on first use, fully dirty)."""
+        index = self._indexes.get(shard)
+        if index is None:
+            index = IncrementalDigest(self.size_model)
+            self._indexes[shard] = index
+        return index
+
+    def _touched(self, shard: int, reached: Lattice) -> None:
+        """Mark the keys ``reached`` may have changed in ``shard``.
+
+        Every path that joins a lattice into a shard state calls this
+        with that lattice; a shard without an index yet needs nothing.
+        """
+        index = self._indexes.get(shard)
+        if index is not None:
+            index.mark(reached)
 
     def shard_root(self, shard: int) -> Optional[bytes]:
         """The root hash of an owned shard's state, incrementally kept.
@@ -268,12 +285,12 @@ class KVStore(Synchronizer):
         Equal to ``root_of(digest_of(state))`` by construction; ``None``
         when this replica does not hold the shard.  This is the probe
         the repair plane and the convergence-lag sampler compare — the
-        cache makes asking every round O(1) for quiescent shards.
+        index makes asking every round O(1) for quiescent shards.
         """
         inner = self.shards.get(shard)
         if inner is None:
             return None
-        return self._shard_digest(shard).root(inner.state)
+        return self._shard_index(shard).root(inner.state)
 
     # ------------------------------------------------------------------
     # Typed client API.
@@ -302,6 +319,7 @@ class KVStore(Synchronizer):
             return MapLattice({key: delta})
 
         delta = shard_sync.local_update(mutator)
+        self._touched(shard, delta)
         self._wal_append(shard, delta)
         return delta
 
@@ -351,6 +369,7 @@ class KVStore(Synchronizer):
             inner = self.shards[shard]
             piece = MapLattice(by_shard[shard])
             absorbed = inner.absorb_state(piece, None)
+            self._touched(shard, piece)
             # Drain, never send: the client pushes the same fragment to
             # the other owners itself; anti-entropy covers stragglers.
             inner.sync_messages()
@@ -417,6 +436,7 @@ class KVStore(Synchronizer):
             return MapLattice({op.key: delta})
 
         delta = shard_sync.local_update(mutator)
+        self._touched(shard, delta)
         self._wal_append(shard, delta)
         return delta
 
@@ -438,7 +458,9 @@ class KVStore(Synchronizer):
             inner = self.shards[shard]
             if inner.state.is_bottom:
                 continue
-            units, payload_bytes = self._payload_sizes(inner.state)
+            index = self._shard_index(shard)
+            units = index.size_units(inner.state)
+            payload_bytes = index.size_bytes(inner.state)
             repair = Message(
                 kind="kv-repair",
                 payload=(inner.state, None),
@@ -450,7 +472,7 @@ class KVStore(Synchronizer):
                 wire.append((dst, shard, repair))
         for shard, peers in probes_due:
             inner = self.shards[shard]
-            root = self._shard_digest(shard).root(inner.state)
+            root = self._shard_index(shard).root(inner.state)
             probe = Message(
                 kind="kv-digest",
                 payload=root,
@@ -510,18 +532,23 @@ class KVStore(Synchronizer):
                 continue
             if inner_message.payload_bytes:
                 self.scheduler.note_delta_activity(shard, src)
-            before = inner.state if self.wal is not None else None
+            before = inner.state
             for reply in inner.handle_message(src, inner_message):
                 if reply.message.payload_bytes:
                     self.scheduler.note_delta_activity(shard, reply.dst)
                 wire.append((reply.dst, shard, reply.message))
-            if before is not None:
+            if inner.state is before:
+                continue
+            payload = inner_message.payload
+            self._touched(shard, payload)
+            if self.wal is not None:
                 # What this message actually taught the shard, as an
                 # optimal delta against the pre-delivery state.  Logging
                 # the inflation (instead of the raw payload) keeps the
                 # WAL redundancy-free regardless of the inner protocol's
                 # own redundancy behaviour.
-                self._wal_append(shard, _keyspace_novelty(before, inner.state))
+                keys = payload.entries if isinstance(payload, MapLattice) else None
+                self._wal_append(shard, _keyspace_novelty(before, inner.state, keys))
         return self._package(wire)
 
     # ------------------------------------------------------------------
@@ -559,6 +586,7 @@ class KVStore(Synchronizer):
                 with_payload=not delta.is_bottom,
             )
             absorbed = inner.absorb_state(delta, src)
+            self._touched(shard, delta)
             if self.tracer is not None:
                 self.tracer.emit(
                     "repair-absorb",
@@ -578,15 +606,15 @@ class KVStore(Synchronizer):
                 self._wal_append(shard, absorbed)
             if echo is None:
                 return None
-            back = delta_against_digest(inner.state, echo)
+            back = self._shard_index(shard).missing(inner.state, echo)
             if back.is_bottom:
                 return None
             return self._repair_message(shard, src, back, echo=None)
         if message.kind == "kv-digest":
             self.scheduler.note_probe()
             self.scheduler.note_repair_traffic(0, message.metadata_bytes)
-            cache = self._shard_digest(shard)
-            match = cache.root(inner.state) == message.payload
+            index = self._shard_index(shard)
+            match = index.root(inner.state) == message.payload
             if self.tracer is not None:
                 self.tracer.emit(
                     "repair-probe",
@@ -601,7 +629,7 @@ class KVStore(Synchronizer):
                 # we do not immediately counter-probe a healthy pair.
                 self.scheduler.note_delta_activity(shard, src)
                 return None
-            digest = cache.digest(inner.state)
+            digest = index.digest(inner.state)
             return Message(
                 kind="kv-diff",
                 payload=digest,
@@ -611,8 +639,9 @@ class KVStore(Synchronizer):
                 metadata_units=len(digest),
             )
         # kv-diff: the peer diverges; ship what it misses plus our own
-        # digest so it can answer with the reverse delta.  One
-        # decomposition pass computes both.
+        # digest so it can answer with the reverse delta.  Both come
+        # from the shard index: only keys holding a fingerprint the
+        # peer lacks are decomposed.
         self.scheduler.note_repair_traffic(0, message.metadata_bytes)
         if self.tracer is not None:
             self.tracer.emit(
@@ -623,7 +652,9 @@ class KVStore(Synchronizer):
                 metadata_bytes=message.metadata_bytes,
                 metadata_units=message.metadata_units,
             )
-        echo, delta = digest_and_missing(inner.state, message.payload)
+        index = self._shard_index(shard)
+        echo = index.digest(inner.state)
+        delta = index.missing(inner.state, message.payload)
         return self._repair_message(shard, src, delta, echo=echo)
 
     def _repair_message(
@@ -698,6 +729,7 @@ class KVStore(Synchronizer):
                 self.shards[shard] = fresh
             else:
                 self.shards[shard] = self._make_inner(peers)
+            self._replaced(shard)
             if self.wal is not None:
                 self.wal.unfence(shard)
         for shard in sorted(old_owned - new_owned):
@@ -715,6 +747,7 @@ class KVStore(Synchronizer):
             fresh.absorb_state(old_inner.state, None)
             fresh.sync_messages()  # drain: restoration, not news
             self.shards[shard] = fresh
+            self._replaced(shard)
             survivors = set(peers) & set(old_peers[shard])
             suspect.extend((shard, peer) for peer in survivors)
         self.scheduler.apply_membership(
@@ -725,14 +758,19 @@ class KVStore(Synchronizer):
             },
             suspect_paths=suspect,
         )
-        # Digest caches are identity-refreshed, so correctness needs no
-        # invalidation here — only drop the ones whose shard left, so
-        # they stop pinning a departed shard's state.
-        self._digests = {
-            shard: cache
-            for shard, cache in self._digests.items()
+        # Drop the indexes whose shard left, so they stop pinning a
+        # departed shard's state.
+        self._indexes = {
+            shard: index
+            for shard, index in self._indexes.items()
             if shard in self.shards or shard in self._fencing
         }
+
+    def _replaced(self, shard: int) -> None:
+        """A shard's synchronizer was swapped: its index is fully dirty."""
+        index = self._indexes.get(shard)
+        if index is not None:
+            index.mark_all()
 
     def begin_handoff(self, shard: int, dst: int) -> None:
         """Start sourcing ``shard`` to its gaining owner ``dst``."""
@@ -740,10 +778,10 @@ class KVStore(Synchronizer):
 
     def _handoff_offer(self, shard: int, inner: Synchronizer) -> Message:
         """Phase 1: announce the handoff with the source's root hash."""
-        root = self._shard_digest(shard).root(inner.state)
+        index = self._shard_index(shard)
         return Message(
             kind="kv-handoff-offer",
-            payload=(root, inner.state.size_bytes(self.size_model)),
+            payload=(index.root(inner.state), index.size_bytes(inner.state)),
             payload_units=0,
             payload_bytes=0,
             metadata_bytes=ROOT_BYTES + self.size_model.int_bytes,
@@ -774,7 +812,7 @@ class KVStore(Synchronizer):
         return Message(
             kind="kv-handoff-segment",
             payload=records,
-            payload_units=inner.state.size_units(),
+            payload_units=self._shard_index(shard).size_units(inner.state),
             payload_bytes=sum(len(body) for body in records),
             metadata_bytes=tag * (1 + len(records)),
             metadata_units=len(records),
@@ -845,7 +883,7 @@ class KVStore(Synchronizer):
                 # the gaining owner; complete so the source can fence.
                 self.stale_shard_messages += 1
                 return self._handoff_ack(True, None)
-            mine = self._shard_digest(shard).root(inner.state)
+            mine = self._shard_index(shard).root(inner.state)
             if mine == root:
                 # Already holding the offered content (a retried offer,
                 # or repair beat the handoff): skip the segment bytes.
@@ -876,6 +914,7 @@ class KVStore(Synchronizer):
             state = delta if state is None else state.join(delta)
         if state is not None and not state.is_bottom:
             absorbed = inner.absorb_state(state, src)
+            self._touched(shard, state)
             # Drain, never send: every surviving co-owner already holds
             # (almost all of) this content; the δ-paths' coldness probes
             # cover the true divergence for a digest's worth of bytes.
@@ -883,7 +922,7 @@ class KVStore(Synchronizer):
             if not absorbed.is_bottom:
                 self._wal_append(shard, absorbed)
             self.scheduler.note_delta_activity(shard, src)
-        return self._handoff_ack(True, self._shard_digest(shard).root(inner.state))
+        return self._handoff_ack(True, self._shard_index(shard).root(inner.state))
 
     def _fence_now(self, shard: int) -> None:
         """Seal a disowned shard's log so a re-add cannot resurrect it."""
@@ -897,7 +936,7 @@ class KVStore(Synchronizer):
         if shard in self._fencing and not self.scheduler.pending_handoffs(shard):
             del self._fencing[shard]
             if shard not in self.shards:
-                self._digests.pop(shard, None)
+                self._indexes.pop(shard, None)
             self._fence_now(shard)
 
     # ------------------------------------------------------------------
@@ -971,6 +1010,7 @@ class KVStore(Synchronizer):
                 continue
             inner = self.shards[shard]
             inner.absorb_state(state, None)
+            self._touched(shard, state)
             inner.sync_messages()  # drain, never sent: see docstring
             restored += 1
             warm.extend((shard, peer) for peer in inner.neighbors)
@@ -1027,14 +1067,21 @@ class KVStore(Synchronizer):
         return sends
 
     # ------------------------------------------------------------------
-    # Memory accounting: sums over the shard instances.
+    # Memory accounting: sums over the shard instances (state sizes are
+    # the shard indexes' running totals).
     # ------------------------------------------------------------------
 
     def state_units(self) -> int:
-        return sum(sync.state.size_units() for sync in self.shards.values())
+        return sum(
+            self._shard_index(shard).size_units(sync.state)
+            for shard, sync in self.shards.items()
+        )
 
     def state_bytes(self) -> int:
-        return sum(sync.state.size_bytes(self.size_model) for sync in self.shards.values())
+        return sum(
+            self._shard_index(shard).size_bytes(sync.state)
+            for shard, sync in self.shards.items()
+        )
 
     def buffer_units(self) -> int:
         return sum(sync.buffer_units() for sync in self.shards.values())

@@ -22,16 +22,18 @@ fingerprint the digest lacks.  Digests are therefore proportional to
 the *number* of irreducibles, not their size — a large win when
 elements are big (tweets) and states mostly overlap.
 
-These functions operate directly on two replicas' states and report
-the bytes each strategy moved, which the partition-recovery example and
-the ablation benchmarks use.
+The ``*_sync`` functions operate directly on two replicas' states and
+report the bytes each strategy moved, which the partition-recovery
+example and the ablation benchmarks use.  :class:`IncrementalDigest` is
+the per-shard index the sharded store keeps over the same digest, so
+its repair exchange costs work proportional to what changed.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.lattice.base import Lattice
 from repro.lattice.map_lattice import MapLattice
@@ -43,15 +45,27 @@ FINGERPRINT_BYTES = 8
 ROOT_BYTES = 16
 
 
-def fingerprint(irreducible: Lattice) -> bytes:
+#: The ``key`` default of :func:`fingerprint`: no enclosing binding.
+_UNBOUND = object()
+
+
+def fingerprint(irreducible: Lattice, key: Hashable = _UNBOUND) -> bytes:
     """A stable 8-byte fingerprint of a join-irreducible state.
 
     Uses BLAKE2b over the canonical ``repr`` (reprs in this library sort
     their contents, so equal values always print identically), which is
     deterministic across processes — unlike built-in ``hash`` under
     string-hash randomization.
+
+    With ``key``, the fingerprint of the map irreducible ``{key ↦
+    irreducible}``: equal to ``fingerprint(MapLattice({key:
+    irreducible}))``, without building the one-binding map to print it.
     """
-    return hashlib.blake2b(repr(irreducible).encode("utf-8"), digest_size=FINGERPRINT_BYTES).digest()
+    if key is _UNBOUND:
+        text = repr(irreducible)
+    else:
+        text = f"MapLattice({{{key!r}: {irreducible!r}}})"
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=FINGERPRINT_BYTES).digest()
 
 
 def digest_of(state: Lattice) -> FrozenSet[bytes]:
@@ -68,18 +82,18 @@ def delta_against_digest(state: Lattice, remote_digest: FrozenSet[bytes]) -> Lat
     return acc
 
 
-def root_of(digest: FrozenSet[bytes]) -> bytes:
+def root_of(digest: Iterable[bytes]) -> bytes:
     """One hash summarizing a whole digest — the O(1)-to-compare probe.
 
     Equal states decompose to equal digests and therefore equal roots,
     so two replicas can rule out divergence by exchanging ``ROOT_BYTES``
     instead of the full fingerprint set; a mismatch escalates to the
-    digest itself.
+    digest itself.  ``digest`` may be any iterable of distinct
+    fingerprints (a set, or the keys of a fingerprint multiset).
     """
-    hasher = hashlib.blake2b(digest_size=ROOT_BYTES)
-    for entry in sorted(digest):
-        hasher.update(entry)
-    return hasher.digest()
+    # One update over the concatenation hashes the same byte stream as
+    # one update per entry.
+    return hashlib.blake2b(b"".join(sorted(digest)), digest_size=ROOT_BYTES).digest()
 
 
 def digest_and_missing(
@@ -103,116 +117,273 @@ def digest_and_missing(
 
 
 class IncrementalDigest:
-    """An incrementally maintained digest/root of one evolving state.
+    """The per-shard index of one evolving state: fingerprints, root, sizes.
 
-    The sharded store needs ``root_of(digest_of(state))`` on every
-    digest probe, handoff round-trip, and convergence-lag sample — a
-    full decomposition plus one BLAKE2b per irreducible each time, even
-    when nothing changed since the last ask.  This cache exploits two
-    library-wide invariants instead:
+    The sharded store asks three things of every shard, each round or
+    on every repair message: the digest root (``kv-digest`` probes,
+    handoff acks, the convergence check), the irreducibles a remote
+    digest lacks (``kv-diff`` replies and the ``kv-repair`` echo), and
+    the state's size (memory samples).  Recomputing any of them walks
+    the whole shard; this index keeps, per key, the byte size and unit
+    count of its current value and the fingerprints of the irreducibles
+    of the value last hashed (``h({key ↦ r})`` for ``r ∈ ⇓value``, with
+    that value object), plus running totals and a fingerprint multiset.
 
-    * lattice values are immutable, so an object-identity check is a
-      sound staleness signal, and
-    * :meth:`MapLattice.join` / ``with_entry`` reuse the value objects
-      of untouched keys, so after an inflation only the touched keys'
-      bindings are new objects (the same reuse
-      ``repro.kv.store._keyspace_novelty`` builds on).
+    **Dirty keys.**  The owner tells the index what changed, and the
+    index does work only for those keys, lazily, on the next query:
 
-    ``refresh`` walks the map's bindings once, comparing identity
-    against the last-seen value per key, and re-fingerprints only the
-    keys that changed.  Fingerprints are kept as a multiset (the same
-    fingerprint may in principle repeat across keys), so removing a
-    key's old contribution cannot drop another key's identical entry.
-    The digest and its root are rebuilt lazily and only when a refresh
-    actually changed something; asking again for an unchanged state is
-    one identity check.
+    * :meth:`mark` takes the lattice that reached the state — a local
+      write's delta, an inbound δ-group, an absorbed repair.  State
+      only grows by join, and ``MapLattice.join`` touches exactly the
+      keys of its argument, so a ``MapLattice``'s keys name every
+      binding that may have changed.  Any other lattice cannot name its
+      keys and marks the state fully dirty, as :meth:`mark_all` does
+      for a rebuilt or replaced state.  A fully dirty refresh is the
+      same loop over every key of the state and of the index.
+    * Size queries re-size the marked keys and nothing else; sizes
+      follow the marks alone, so an owner must mark every change.  A
+      key seen for the first time is fingerprinted right away.
+    * Fingerprint queries (:meth:`root`, :meth:`digest`,
+      :meth:`missing`) re-fingerprint the keys re-sized since the last
+      fingerprint query.  A key whose value is the very object last
+      hashed is skipped: lattice values are immutable and ``join``
+      reuses untouched keys' value objects.  These queries remember the
+      state object they last answered for, and rescan every key (by
+      that identity check) when the state moved with no key re-sized —
+      so an owner that never marks still gets exact digests.
 
-    For non-map states there is no per-key reuse to exploit, so the
-    cache degrades to a full recompute memoized on the state object.
+    Size work thus runs once per round for the keys written, and
+    fingerprint work only when a probe or diff asks.  Size queries
+    keep no reference to the state or its values (only fingerprint
+    queries keep the ones they hashed), so the values a write
+    supersedes are freed as the state moves on.  Fingerprints are kept as a multiset
+    (the same fingerprint may in principle repeat across keys), so
+    dropping a key's old contribution cannot drop another key's equal
+    entry; the root hashes the multiset's distinct keys in sorted
+    order, and the digest set is built only when asked for (a
+    ``kv-diff`` reply or echo), never retained.  A non-map state is
+    indexed as a single binding.
 
-    The cached values are definitionally equal to ``digest_of(state)``
-    and ``root_of(digest_of(state))``: the per-key fingerprints hash
-    exactly the ``MapLattice({key: irreducible})`` singletons that
-    :meth:`MapLattice.decompose` yields.  The property-test suite
-    asserts this equality after arbitrary mutation sequences across
-    every lattice family.
+    Every answer equals its recomputation — ``digest_of(state)``,
+    ``root_of(digest_of(state))``, ``digest_and_missing(state, d)[1]``,
+    ``state.size_bytes(model)`` and ``state.size_units()``; the
+    property tests assert this after arbitrary mutation sequences.
     """
 
-    __slots__ = ("_state", "_values", "_counts", "_digest", "_root")
+    __slots__ = (
+        "model",
+        "full_refreshes",
+        "_state",
+        "_entries",
+        "_counts",
+        "_dirty",
+        "_all_dirty",
+        "_unhashed",
+        "_rehash_all",
+        "_root",
+        "_bytes",
+        "_units",
+    )
 
-    def __init__(self) -> None:
-        #: The state object the cached fingerprints reflect.
+    def __init__(self, model: SizeModel = DEFAULT_SIZE_MODEL) -> None:
+        #: The size model :meth:`size_bytes` answers in.
+        self.model = model
+        #: Refreshes that visited every key (a cost counter for tests
+        #: and benchmarks; dirty-key refreshes do not count).
+        self.full_refreshes = 0
+        #: The state object the fingerprints were last brought up to.
         self._state: Optional[Lattice] = None
-        #: key → (last-seen value object, its fingerprint tuple).
-        self._values: Dict = {}
-        #: fingerprint → multiplicity across keys (multiset semantics).
+        #: key → ``(hashed value, size_bytes, size_units, *fingerprints)``;
+        #: the hashed value is ``None`` until the key is first hashed.
+        self._entries: Dict[Hashable, tuple] = {}
+        #: fingerprint → multiplicity across keys.
         self._counts: Dict[bytes, int] = {}
-        self._digest: Optional[FrozenSet[bytes]] = None
+        self._dirty: Set[Hashable] = set()
+        self._all_dirty = True
+        #: Keys re-sized since the last fingerprint query: their
+        #: fingerprints (and, for a removed key, the entry) are stale.
+        self._unhashed: Set[Hashable] = set()
+        #: Every key awaits a rehash (set by a full refresh, so the
+        #: whole keyspace is never listed in ``_unhashed``).
+        self._rehash_all = False
         self._root: Optional[bytes] = None
+        self._bytes = 0
+        self._units = 0
+
+    # ------------------------------------------------------------------
+    # Invalidation.
+    # ------------------------------------------------------------------
+
+    def mark(self, reached: Lattice) -> None:
+        """Note that ``reached`` was joined into the state."""
+        if isinstance(reached, MapLattice):
+            if not self._all_dirty:
+                self._dirty.update(reached.entries)
+        else:
+            self.mark_all()
+
+    def mark_all(self) -> None:
+        """Note a change the owner cannot name keys for."""
+        self._all_dirty = True
+        self._dirty.clear()
+
+    # ------------------------------------------------------------------
+    # Queries.
+    # ------------------------------------------------------------------
 
     def digest(self, state: Lattice) -> FrozenSet[bytes]:
-        """``digest_of(state)``, reusing unchanged keys' fingerprints."""
+        """``digest_of(state)``, built from the cached fingerprints."""
         self._refresh(state)
-        if self._digest is None:
-            self._digest = frozenset(self._counts)
-        return self._digest
+        self._rehash(state)
+        return frozenset(self._counts)
 
     def root(self, state: Lattice) -> bytes:
         """``root_of(digest_of(state))``, O(1) when nothing changed."""
         self._refresh(state)
+        self._rehash(state)
         if self._root is None:
-            self._root = root_of(self.digest(state))
+            self._root = root_of(self._counts)
         return self._root
 
-    def _forget(self, fps: Tuple[bytes, ...]) -> None:
-        counts = self._counts
-        for fp in fps:
-            remaining = counts[fp] - 1
-            if remaining:
-                counts[fp] = remaining
-            else:
-                del counts[fp]
+    def missing(self, state: Lattice, remote_digest: FrozenSet[bytes]) -> Lattice:
+        """``delta_against_digest(state, remote_digest)`` from the cache.
+
+        Only keys holding a fingerprint the remote digest lacks are
+        decomposed again; an immutable value decomposes in the same
+        order every time, so its cached fingerprints pair up with the
+        fresh decomposition.
+        """
+        self._refresh(state)
+        self._rehash(state)
+        if self._counts.keys() <= remote_digest:
+            return state.bottom_like()
+        missing: Dict[Hashable, Lattice] = {}
+        for key, entry in self._entries.items():
+            fps = entry[3:]
+            if remote_digest.issuperset(fps):
+                continue
+            acc: Optional[Lattice] = None
+            for irreducible, fp in zip(entry[0].decompose(), fps):
+                if fp not in remote_digest:
+                    acc = irreducible if acc is None else acc.join(irreducible)
+            missing[key] = acc
+        whole = missing.get(_WHOLE)
+        if whole is not None:
+            return whole
+        return MapLattice(missing)
+
+    def size_bytes(self, state: Lattice) -> int:
+        """``state.size_bytes(self.model)``, kept as a running total."""
+        self._refresh(state)
+        return self._bytes
+
+    def size_units(self, state: Lattice) -> int:
+        """``state.size_units()``, kept as a running total."""
+        self._refresh(state)
+        return self._units
+
+    # ------------------------------------------------------------------
 
     def _refresh(self, state: Lattice) -> None:
+        """Bring the sizes up to ``state`` from the marks alone."""
+        if not (self._all_dirty or self._dirty):
+            return
+        bindings = _bindings(state)
+        entries = self._entries
+        if self._all_dirty:
+            self.full_refreshes += 1
+            keys: Iterable[Hashable] = [
+                key for key in entries if key not in bindings
+            ] + list(bindings)
+            # Rehash every key next time instead of listing them all.
+            self._rehash_all = True
+        else:
+            keys = self._dirty
+        unhashed = self._unhashed
+        rehash_all = self._rehash_all
+        for key in keys:
+            value = bindings.get(key)
+            entry = entries.get(key)
+            if entry is None:
+                if value is None:
+                    continue
+                # A key seen for the first time is hashed at once: a
+                # size-only entry would be replaced by a longer tuple at
+                # the first fingerprint query, for nothing.
+                entries[key] = self._hashed(key, value, *self._sizes(key, value))
+                self._bytes += entries[key][1]
+                self._units += entries[key][2]
+            elif entry[0] is value and not (rehash_all or key in unhashed):
+                continue
+            else:
+                size, units = (0, 0) if value is None else self._sizes(key, value)
+                self._bytes += size - entry[1]
+                self._units += units - entry[2]
+                entries[key] = (entry[0], size, units, *entry[3:])
+            if not rehash_all:
+                unhashed.add(key)
+        self._dirty.clear()
+        self._all_dirty = False
+
+    def _rehash(self, state: Lattice) -> None:
+        """Bring the fingerprints up to ``state`` (after _refresh)."""
         if state is self._state:
             return
-        if not isinstance(state, MapLattice):
-            self._values = {}
-            self._counts = {}
-            self._digest = digest_of(state)
-            self._root = None
-            self._state = state
-            return
-        entries = state.entries
-        values = self._values
+        if not (self._rehash_all or self._unhashed):
+            # The state moved with nothing marked: rescan it all.
+            self.mark_all()
+            self._refresh(state)
+        bindings = _bindings(state)
+        entries = self._entries
         counts = self._counts
-        changed = False
-        if values:
-            # Keys only vanish when the tracked state was replaced
-            # outright (rebuild, shard swap) rather than inflated.
-            stale = [key for key in values if key not in entries]
-            for key in stale:
-                _, fps = values.pop(key)
-                self._forget(fps)
-                changed = True
-        for key, value in entries.items():
-            known = values.get(key)
-            if known is not None and known[0] is value:
+        for key in list(entries) if self._rehash_all else self._unhashed:
+            entry = entries[key]
+            value = bindings.get(key)
+            if value is not None and entry[0] is value:
                 continue
-            if known is not None:
-                self._forget(known[1])
-            fps = tuple(
-                fingerprint(MapLattice({key: irreducible}))
-                for irreducible in value.decompose()
-            )
-            values[key] = (value, fps)
-            for fp in fps:
-                counts[fp] = counts.get(fp, 0) + 1
-            changed = True
-        if changed:
-            self._digest = None
             self._root = None
+            for fp in entry[3:]:
+                remaining = counts[fp] - 1
+                if remaining:
+                    counts[fp] = remaining
+                else:
+                    del counts[fp]
+            if value is None:
+                del entries[key]
+            else:
+                entries[key] = self._hashed(key, value, entry[1], entry[2])
+        self._unhashed.clear()
+        self._rehash_all = False
         self._state = state
+
+    def _sizes(self, key: Hashable, value: Lattice) -> Tuple[int, int]:
+        """``(size_bytes, size_units)`` of one binding."""
+        size = value.size_bytes(self.model)
+        if key is not _WHOLE:
+            size += self.model.sizeof(key)
+        return size, value.size_units()
+
+    def _hashed(self, key: Hashable, value: Lattice, size: int, units: int) -> tuple:
+        """The entry of a binding with its fingerprints counted in."""
+        if key is _WHOLE:
+            fps = [fingerprint(r) for r in value.decompose()]
+        else:
+            fps = [fingerprint(r, key) for r in value.decompose()]
+        counts = self._counts
+        for fp in fps:
+            counts[fp] = counts.get(fp, 0) + 1
+        self._root = None
+        return (value, size, units, *fps)
+
+
+def _bindings(state: Lattice) -> Mapping[Hashable, Lattice]:
+    """A state's bindings; a non-map state is one binding of its own."""
+    return state.entries if isinstance(state, MapLattice) else {_WHOLE: state}
+
+
+#: The pseudo-key under which a non-map state is indexed as one binding.
+_WHOLE = object()
+
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,9 @@ def test_incremental_digest_interleaves_with_queries(case):
     cache = IncrementalDigest()
     for state in states:
         first = cache.digest(state)
-        assert cache.digest(state) is first  # unchanged state: memo hit
+        refreshes = cache.full_refreshes
+        assert cache.digest(state) == first  # unchanged state: no rescan
+        assert cache.full_refreshes == refreshes
         assert first == digest_of(state)
         assert cache.root(state) == root_of(first)
 
