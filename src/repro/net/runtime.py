@@ -90,7 +90,10 @@ class ReplicaRuntime:
         started = _time.perf_counter()
         delta = self.synchronizer.local_update(delta_mutator)
         elapsed = _time.perf_counter() - started
-        self._record("runtime.local_update", delta.size_units(), elapsed)
+        # Sizing a fresh delta costs microseconds; skip it when no sink
+        # records it (a serving replica's write path).
+        if self.collector is not None or self.timers is not None:
+            self._record("runtime.local_update", delta.size_units(), elapsed)
         return delta
 
     def tick(self) -> None:

@@ -1,44 +1,42 @@
-"""Real sockets: an asyncio localhost-TCP transport.
+"""Real sockets: the tcp peer plane and the in-process tcp transport.
 
-Every replica gets a listening socket on ``127.0.0.1`` and one
-outbound connection per overlay neighbour; protocol messages travel as
-length-prefixed envelopes produced by :func:`repro.codec.
-encode_message`, so the bytes recorded in the metrics are *measured
-wire bytes* — the payload section's actual encoded length and the
-envelope's actual framing — rather than the simulator's size-model
-estimates.  ``payload_units``/``metadata_units`` still travel in the
-envelope, which keeps the paper's machine-independent entry metric
-exactly comparable between transports.
+:class:`TcpPeerPlane` is the one implementation of the peer plane.  It
+owns the framing, the handshake naming the dialing replica, the
+inbound accept loop, one connection per (sender, destination), and the
+send path: the shared admission step refuses sends to down or
+partitioned peers, each admitted message is framed with
+:func:`repro.codec.frame_message`, and its *measured wire bytes* — the
+payload section's encoded length, the envelope's framing plus the
+length prefix — are accounted instead of size-model estimates.
+``payload_units``/``metadata_units`` travel in the envelope, so the
+paper's entry metric stays exactly comparable between transports.
+Sends queue per connection; :meth:`TcpPeerPlane.flush` writes and
+drains each connection once.  A connection that is gone or fails while
+draining takes its frames back — they are not counted as sent — and
+the sender's runtime hears ``note_send_blocked``.
 
-The transport preserves the round structure the paper's deployment
-assumes (synchronize once per interval; deliveries and replies finish
-well before the next interval): :meth:`run_round` applies the round's
-workload updates, fires every live replica's synchronization timer
-*before* any delivery happens — exactly like the simulator, where all
-timers fire at the half-interval mark and latency is small — then runs
-the event loop until the network is quiescent (every frame sent this
-round, including protocol replies, has been processed or accounted as
-lost).  Quiescence is tracked with an in-flight frame counter, so a
-stalled peer surfaces as :class:`~repro.net.transport.
-TransportStalled` instead of a hang.
+Two hosts run replicas on the plane.  :class:`AsyncTcpTransport` hosts
+every replica of a cluster in one event loop and keeps the round
+structure the paper's deployment assumes: :meth:`run_round` applies
+the round's updates, fires every live replica's timer *before* any
+delivery — like the simulator, where all timers fire at the
+half-interval mark — then runs the loop until no frame is in flight
+(an in-flight counter turns a stalled peer into
+:class:`~repro.net.transport.TransportStalled` instead of a hang).
+:class:`repro.serve.replica.ReplicaProcess` hosts one replica per OS
+process, ticked by its controller.
 
-Fault injection mirrors the simulator's fail-stop model without socket
-churn: a crashed or partitioned peer refuses sends at the sender
-(``messages_blocked``, with ``note_send_blocked`` feeding suspicion
-into divergence-driven repair).  Because faults are injected between
-rounds and every round settles to quiescence, no frame can be caught
-in flight by a fault here — ``messages_severed`` stays 0 on TCP (its
-delivery-side check is defensive), unlike the simulator, where
-latency can carry a reply across a fault boundary.  ``loss_rate``
-eats transmitted frames at the sender through the shared per-edge
-coin flips: the k-th flip on an edge is a pure function of
-``(loss_seed, src, dst, k)``, so the loss schedule depends only on
-the traffic — repeated TCP runs, and the simulator against TCP, drop
-the same frames even though the event loop chooses callback order.
+Faults mirror the simulator's fail-stop model without socket churn: a
+crashed or partitioned peer refuses sends at the sender.  Faults are
+injected between rounds and every round settles, so no frame is caught
+in flight — ``messages_severed`` stays 0 on TCP.  ``loss_rate`` eats
+transmitted frames through the shared per-edge coin flips, a pure
+function of ``(loss_seed, src, dst, k)``, so TCP runs and the
+simulator drop the same frames whatever the callback order.
 
 Wire format per connection::
 
-    frame     := u32be(length) body
+    frame     := u32be(length) body                 # length <= MAX_FRAME_BYTES
     body[0]   := uvarint(sender replica index)      # handshake, once
     body[1:]  := message envelope                   # repro.codec
 """
@@ -50,23 +48,221 @@ import functools
 import struct
 import time
 import warnings
-from collections import deque
+from abc import abstractmethod
 from io import BytesIO
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.codec import decode_message, frame_message, read_uvarint, write_uvarint
+from repro.codec import (
+    CodecError,
+    decode_message,
+    frame_message,
+    read_uvarint,
+    write_uvarint,
+)
 from repro.net.transport import Transport, TransportStalled
 from repro.sim.metrics import MetricsCollector
-from repro.sync.protocol import Send
+from repro.sync.protocol import Message, Send
+
+#: Every listener binds loopback.
+HOST = "127.0.0.1"
 
 #: Bytes of the per-frame length prefix, counted as framing metadata.
 LENGTH_PREFIX_BYTES = 4
 
+#: Refuse absurd frames instead of allocating on a corrupt prefix.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-class AsyncTcpTransport(Transport):
-    """Length-prefixed protocol envelopes over localhost TCP sockets."""
 
-    HOST = "127.0.0.1"
+async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """Read one frame's body; ``None`` once the peer has closed.
+
+    A length over :data:`MAX_FRAME_BYTES` raises :class:`CodecError`
+    before any body is buffered: a corrupt header costs its connection.
+    """
+    try:
+        header = await reader.readexactly(LENGTH_PREFIX_BYTES)
+        (length,) = struct.unpack(">I", header)
+        if length > MAX_FRAME_BYTES:
+            raise CodecError(f"frame too large: {length} bytes")
+        return await reader.readexactly(length)
+    except (asyncio.IncompleteReadError, ConnectionResetError):
+        return None  # peer closed; normal at shutdown
+
+
+class TcpPeerPlane(Transport):
+    """Listeners, dialed connections and the send path of tcp replicas.
+
+    A host publishes where each replica listens in :attr:`addresses`
+    and dials with :meth:`connect`.  It decides what a received message
+    does (:meth:`_receive`), what a failed inbound connection means
+    (:meth:`_peer_failed`), and how frames on the wire are counted
+    (:meth:`_in_flight`).
+    """
+
+    def __init__(self, config, metrics) -> None:
+        super().__init__(config, metrics)
+        self._epoch = time.monotonic()
+        #: Where each replica accepts peer connections.
+        self.addresses: Dict[int, Tuple[str, int]] = {}
+        #: Open connections, keyed (sending replica, destination).
+        self._writers: Dict[Tuple[int, int], asyncio.StreamWriter] = {}
+        #: Frames queued for the next flush, per connection, in send order.
+        self._outbox: Dict[Tuple[int, int], List[bytes]] = {}
+        self._servers: list = []
+        self._reader_tasks: Set[asyncio.Task] = set()
+
+    @property
+    def now(self) -> float:
+        """Milliseconds of real (monotonic) time since the plane's creation."""
+        return (time.monotonic() - self._epoch) * 1000.0
+
+    # ------------------------------------------------------------------
+    # Connections.
+    # ------------------------------------------------------------------
+
+    async def listen(self, replica: int) -> int:
+        """Accept peer connections for hosted ``replica``; return the port."""
+        server = await asyncio.start_server(
+            functools.partial(self._accept, replica), HOST, 0
+        )
+        self._servers.append(server)
+        return server.sockets[0].getsockname()[1]
+
+    async def connect(self, src: int, dst: int) -> None:
+        """Dial ``dst`` at its published address and name ``src`` to it."""
+        host, port = self.addresses[dst]
+        _, writer = await asyncio.open_connection(host, port)
+        hello = BytesIO()
+        write_uvarint(hello, src)
+        writer.write(struct.pack(">I", len(hello.getvalue())) + hello.getvalue())
+        self._writers[(src, dst)] = writer
+
+    def connected(self, src: int, dst: int) -> bool:
+        writer = self._writers.get((src, dst))
+        return writer is not None and not writer.is_closing()
+
+    def disconnect(self, src: int, dst: int) -> None:
+        writer = self._writers.pop((src, dst), None)
+        if writer is not None:
+            writer.close()
+
+    async def _accept(self, dst: int, reader, writer) -> None:
+        """Serve one inbound connection: handshake, then messages."""
+        task = asyncio.current_task()
+        self._reader_tasks.add(task)
+        try:
+            hello = await read_frame(reader)
+            if hello is None:
+                return
+            src = read_uvarint(BytesIO(hello))
+            while (data := await read_frame(reader)) is not None:
+                # Decoded in the call so this frame keeps no reference
+                # to the message while it waits for the next one.
+                await self._receive(src, dst, self._decode(data))
+        except Exception as exc:
+            self._peer_failed(exc)
+        finally:
+            self._reader_tasks.discard(task)
+            writer.close()
+
+    @abstractmethod
+    async def _receive(self, src: int, dst: int, message: Message) -> None:
+        """Hand one message from ``src`` to hosted replica ``dst``."""
+
+    @abstractmethod
+    def _peer_failed(self, exc: Exception) -> None:
+        """An inbound connection ended with ``exc``; it is closed."""
+
+    @abstractmethod
+    def _in_flight(self, dst: int, frames: int) -> None:
+        """``frames`` frames to ``dst`` went onto (negative: off) the wire."""
+
+    # ------------------------------------------------------------------
+    # The send path.
+    # ------------------------------------------------------------------
+
+    def send(self, src: int, sends: Sequence[Send]) -> None:
+        """Admit, frame and account each message; queue it for the flush."""
+        for send in sends:
+            if not self._admit(src, send):
+                continue
+            if self.timers is None:
+                frame = frame_message(send.message)
+            else:
+                with self.timers.span("tcp.encode", units=send.message.total_units):
+                    frame = frame_message(send.message)
+            if self._transmit(
+                src,
+                send,
+                frame.payload_bytes,
+                frame.metadata_bytes + LENGTH_PREFIX_BYTES,
+            ):
+                self._outbox.setdefault((src, send.dst), []).append(frame.data)
+
+    async def flush(self) -> None:
+        """Write every queued frame: one write, then one drain, per connection."""
+        outbox, self._outbox = self._outbox, {}
+        written = []
+        for (src, dst), frames in outbox.items():
+            writer = self._writers.get((src, dst))
+            if writer is None or writer.is_closing():
+                self._unsent(src, dst, writer)
+                continue
+            writer.write(
+                b"".join(struct.pack(">I", len(frame)) + frame for frame in frames)
+            )
+            self._in_flight(dst, len(frames))
+            written.append((src, dst, writer, len(frames)))
+        for src, dst, writer, count in written:
+            try:
+                await writer.drain()
+            except ConnectionError:
+                # The peer died with the frames in flight: they were
+                # never delivered, and counting them as sent would wedge
+                # a quiescence check that waits for their delivery.
+                self._in_flight(dst, -count)
+                self._unsent(src, dst, writer)
+
+    def _unsent(self, src: int, dst: int, writer) -> None:
+        if writer is not None:
+            writer.close()
+            # A connection dialed while this one drained stays open.
+            if self._writers.get((src, dst)) is writer:
+                del self._writers[(src, dst)]
+        self.runtimes[src].note_send_blocked(dst)
+
+    def _decode(self, data: bytes) -> Message:
+        if self.timers is None:
+            return decode_message(data)
+        with self.timers.span("tcp.decode"):
+            return decode_message(data)
+
+    async def close_sockets(self, grace_s: float) -> None:
+        """Close connections, then readers (cancelled if still open
+        after ``grace_s`` seconds), then listeners."""
+        writers = list(self._writers.values())
+        self._writers.clear()
+        for writer in writers:
+            writer.close()
+        for writer in writers:
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+        if self._reader_tasks:
+            _, pending = await asyncio.wait(self._reader_tasks, timeout=grace_s)
+            for task in pending:
+                task.cancel()
+            if pending:
+                await asyncio.gather(*pending, return_exceptions=True)
+        for server in self._servers:
+            server.close()
+        for server in self._servers:
+            await server.wait_closed()
+
+
+class AsyncTcpTransport(TcpPeerPlane):
+    """Every replica of a cluster on one tcp peer plane, in one event loop."""
 
     def __init__(
         self,
@@ -78,24 +274,17 @@ class AsyncTcpTransport(Transport):
         super().__init__(config, metrics)
         self._loop = asyncio.new_event_loop()
         self._round = 0
-        #: Frames queued for the wire: (src, dst, envelope bytes).
-        self._outbox: Deque[Tuple[int, int, bytes]] = deque()
-        #: Frames sent but not yet fully processed at their receiver.
+        #: Frames on the wire but not yet fully processed at their receiver.
         self._pending = 0
         #: The same count broken down by receiving replica, so a stall
         #: can name who stopped making progress.
         self._pending_by_dst: Dict[int, int] = {}
         self._progress: Optional[asyncio.Event] = None
-        self._servers: list = []
-        self._ports: List[int] = []
-        self._writers: Dict[int, Dict[int, asyncio.StreamWriter]] = {}
-        self._reader_tasks: list = []
         self._failure: Optional[BaseException] = None
         self._started = False
         self._closed = False
         #: Shutdown scheduled by a re-entrant close() (loop running).
         self._deferred_shutdown: Optional[asyncio.Task] = None
-        self._epoch = time.monotonic()
         self._settle_timeout_s = settle_timeout_s
 
     # ------------------------------------------------------------------
@@ -110,59 +299,13 @@ class AsyncTcpTransport(Transport):
     async def _open_sockets(self) -> None:
         self._progress = asyncio.Event()
         for node in range(self.topology.n):
-            server = await asyncio.start_server(
-                functools.partial(self._accept, node), self.HOST, 0
-            )
-            self._servers.append(server)
-            self._ports.append(server.sockets[0].getsockname()[1])
+            self.addresses[node] = (HOST, await self.listen(node))
         for node in range(self.topology.n):
-            self._writers[node] = {}
             for peer in self.topology.neighbors(node):
-                _, writer = await asyncio.open_connection(self.HOST, self._ports[peer])
-                hello = BytesIO()
-                write_uvarint(hello, node)
-                writer.write(struct.pack(">I", len(hello.getvalue())) + hello.getvalue())
-                await writer.drain()
-                self._writers[node][peer] = writer
+                await self.connect(node, peer)
 
-    async def _accept(self, dst: int, reader, writer) -> None:
-        """Serve one inbound connection: handshake, then frames."""
-        self._reader_tasks.append(asyncio.current_task())
+    async def _receive(self, src: int, dst: int, message: Message) -> None:
         try:
-            handshake = await self._read_frame(reader)
-            if handshake is None:
-                return
-            src = read_uvarint(BytesIO(handshake))
-            while True:
-                data = await self._read_frame(reader)
-                if data is None:
-                    return
-                self._deliver_frame(src, dst, data)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:  # surface in the driving coroutine
-            self._failure = exc
-        finally:
-            writer.close()
-            if self._progress is not None:
-                self._progress.set()
-
-    @staticmethod
-    async def _read_frame(reader) -> Optional[bytes]:
-        try:
-            header = await reader.readexactly(LENGTH_PREFIX_BYTES)
-            (length,) = struct.unpack(">I", header)
-            return await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return None  # peer closed; normal at shutdown
-
-    def _deliver_frame(self, src: int, dst: int, data: bytes) -> None:
-        try:
-            if self.timers is not None:
-                with self.timers.span("tcp.decode"):
-                    message = decode_message(data)
-            else:
-                message = decode_message(data)
             if not self.link_up(src, dst):
                 # Defensive only: faults are injected between rounds
                 # and rounds settle to quiescence, so under the current
@@ -174,45 +317,20 @@ class AsyncTcpTransport(Transport):
                 self._trace_deliver(src, dst, message.kind)
                 self.runtimes[dst].deliver(src, message)
         finally:
-            self._pending -= 1
-            remaining = self._pending_by_dst.get(dst, 0) - 1
-            if remaining > 0:
-                self._pending_by_dst[dst] = remaining
-            else:
-                self._pending_by_dst.pop(dst, None)
-            if self._progress is not None:
-                self._progress.set()
+            self._in_flight(dst, -1)
+            self._progress.set()
 
-    # ------------------------------------------------------------------
-    # The data plane.
-    # ------------------------------------------------------------------
+    def _peer_failed(self, exc: Exception) -> None:
+        self._failure = exc  # raised by the driving coroutine
+        self._progress.set()
 
-    def send(self, src: int, sends: Sequence[Send]) -> None:
-        """Encode, account (measured wire bytes), and queue frames."""
-        for send in sends:
-            if not self._admit(src, send):
-                continue
-            if self.timers is not None:
-                with self.timers.span(
-                    "tcp.encode", units=send.message.total_units
-                ):
-                    frame = frame_message(send.message)
-            else:
-                frame = frame_message(send.message)
-            if not self._transmit(
-                src,
-                send,
-                frame.payload_bytes,
-                frame.metadata_bytes + LENGTH_PREFIX_BYTES,
-            ):
-                continue
-            self._pending += 1
-            self._pending_by_dst[send.dst] = (
-                self._pending_by_dst.get(send.dst, 0) + 1
-            )
-            self._outbox.append((src, send.dst, frame.data))
-            if self._progress is not None:
-                self._progress.set()
+    def _in_flight(self, dst: int, frames: int) -> None:
+        self._pending += frames
+        remaining = self._pending_by_dst.get(dst, 0) + frames
+        if remaining > 0:
+            self._pending_by_dst[dst] = remaining
+        else:
+            self._pending_by_dst.pop(dst, None)
 
     # ------------------------------------------------------------------
     # Driving: one synchronization interval per round.
@@ -253,15 +371,10 @@ class AsyncTcpTransport(Transport):
             if self._failure is not None:
                 failure, self._failure = self._failure, None
                 raise failure
-            touched = set()
-            while self._outbox:
-                src, dst, data = self._outbox.popleft()
-                writer = self._writers[src][dst]
-                writer.write(struct.pack(">I", len(data)) + data)
-                touched.add(writer)
-            for writer in touched:
-                await writer.drain()
-            if self._pending == 0 and not self._outbox:
+            await self.flush()
+            if self._outbox:
+                continue  # deliveries during the drains queued replies
+            if self._pending == 0:
                 return
             self._progress.clear()
             try:
@@ -282,11 +395,6 @@ class AsyncTcpTransport(Transport):
     @property
     def rounds_run(self) -> int:
         return self._round
-
-    @property
-    def now(self) -> float:
-        """Milliseconds of real (monotonic) time since transport creation."""
-        return (time.monotonic() - self._epoch) * 1000.0
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -327,27 +435,9 @@ class AsyncTcpTransport(Transport):
             self._loop.close()
 
     async def _shutdown(self) -> None:
-        # Close the client sides first: readers then end on EOF and
-        # their tasks finish normally instead of being cancelled.
-        for peers in self._writers.values():
-            for writer in peers.values():
-                writer.close()
-        for peers in self._writers.values():
-            for writer in peers.values():
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-        if self._reader_tasks:
-            _, pending = await asyncio.wait(self._reader_tasks, timeout=5.0)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        for server in self._servers:
-            server.close()
-        for server in self._servers:
-            await server.wait_closed()
+        # Every reader's peer is in this plane, so each ends on EOF
+        # well inside the grace period instead of being cancelled.
+        await self.close_sockets(grace_s=5.0)
 
     def __del__(self) -> None:  # pragma: no cover - defensive cleanup
         try:

@@ -2,8 +2,8 @@
 
 The jump from harness to system: each replica of the sharded CRDT
 store runs as its own OS process (:mod:`~repro.serve.replica`) serving
-two sockets — a peer plane speaking the in-process TCP transport's
-exact wire format, and a client/control plane speaking
+two sockets — the in-process TCP transport's peer plane, with the
+store behind a ``ReplicaRuntime``, and a client/control plane speaking
 :mod:`~repro.serve.frames`.  A :class:`ProcessCluster` spawns, wires,
 crashes (SIGKILL), and respawns those processes and drives the same
 round/drain schedule as the in-process harnesses; a :class:`KVClient`
@@ -22,19 +22,13 @@ from repro.serve.cluster import (
 )
 from repro.serve.frames import FrameError, Request, Response
 from repro.serve.loadgen import LoadGenerator, LoadReport, percentile
-from repro.serve.replica import (
-    HOST,
-    ReplicaOptions,
-    ReplicaProcess,
-    portfile_path,
-)
+from repro.serve.replica import ReplicaOptions, ReplicaProcess, portfile_path
 
 __all__ = [
     "frames",
     "FrameError",
     "Request",
     "Response",
-    "HOST",
     "ReplicaOptions",
     "ReplicaProcess",
     "portfile_path",

@@ -52,10 +52,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 from repro.kv.antientropy import AntiEntropyConfig
 from repro.kv.ring import HashRing
 from repro.kv.store import KVRoutingError, KVUpdate
+from repro.net.tcp import HOST
 from repro.net.transport import TransportStalled
 from repro.serve import frames
 from repro.serve.frames import FrameError, Request, Response
-from repro.serve.replica import HOST, portfile_path
+from repro.serve.replica import portfile_path
 
 #: Seconds between COUNTERS polls while settling a round.
 _POLL_INTERVAL_S = 0.01

@@ -38,12 +38,7 @@ from io import BytesIO
 from typing import Any, Dict, Optional, Tuple
 
 from repro.codec import CodecError, read_atom, read_uvarint, write_atom, write_uvarint
-
-#: Length prefix of every frame, matching the peer plane's framing.
-LENGTH_PREFIX_BYTES = 4
-
-#: Refuse absurd frames instead of allocating on a corrupt prefix.
-MAX_FRAME_BYTES = 64 * 1024 * 1024
+from repro.net.tcp import LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES
 
 # Data-plane verbs (the KVClient).
 GET = 0x01

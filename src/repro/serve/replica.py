@@ -7,18 +7,18 @@ process with its own event loop, its own WAL directory (advisory-locked
 — see :class:`~repro.wal.storage.FileStorage`), and two listening
 sockets:
 
-* the **peer plane** speaks exactly the wire format of the in-process
-  TCP transport — ``u32be(length)`` frames of :func:`repro.codec.
-  frame_message` envelopes, one uvarint handshake naming the dialing
-  replica — so the synchronizers, the repair escalation, and the
-  handoff protocol run unmodified over genuinely separate processes;
+* the **peer plane** is :class:`~repro.net.tcp.TcpPeerPlane`, the one
+  the in-process TCP transport runs on, hosting this replica's store
+  behind a :class:`~repro.net.runtime.ReplicaRuntime`, so the
+  synchronizers, the repair escalation, and the handoff protocol run
+  unmodified over genuinely separate processes;
 * the **client/control plane** speaks :mod:`repro.serve.frames` — the
   get/put/remove/repair data verbs a :class:`~repro.serve.client.
   KVClient` uses and the wire/tick/counters/roots control verbs the
   :class:`~repro.serve.cluster.ProcessCluster` controller drives
   rounds with.
 
-Startup is the WAL-first recovery story of PR 4 run for real: the
+Startup is the WAL-first recovery story run for real: the
 process opens (and locks) its ``FileStorage`` directory, replays every
 owned shard locally, and joins the cluster with only the genuinely
 divergent remainder left for digest repair.  On boot it binds both
@@ -30,9 +30,11 @@ ports.
 The process deliberately has **no timers of its own**: anti-entropy
 runs when the controller says TICK, exactly like the round-stepped
 transports, so experiment schedules stay deterministic and comparable.
-Everything store-touching runs on the single event-loop thread, so
-handler interleaving is the only concurrency and the store needs no
-locks.
+TICK answers, and a peer frame counts as delivered, only once the
+sends they caused are flushed: the controller's quiescence check
+(sent == delivered, stable across polls) relies on it.  Everything
+store-touching runs on the single event-loop thread, so handler
+interleaving is the only concurrency and the store needs no locks.
 """
 
 from __future__ import annotations
@@ -40,34 +42,27 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import struct
-import time
 from dataclasses import dataclass
-from io import BytesIO
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.codec import (
-    decode,
-    decode_message,
-    encode,
-    frame_message,
-    read_uvarint,
-    write_uvarint,
-)
+from repro.codec import CodecError, decode, encode
 from repro.kv.antientropy import AntiEntropyConfig
 from repro.kv.ring import HashRing
-from repro.kv.store import KVRoutingError, KVStore
+from repro.kv.store import KVRoutingError, KVStore, KVUpdate
 from repro.kv.types import Schema
 from repro.lattice.map_lattice import MapLattice
+from repro.net.runtime import ReplicaRuntime
+from repro.net.tcp import HOST, TcpPeerPlane, read_frame
 from repro.serve import frames
 from repro.serve.frames import Request, Response
-from repro.sync.protocol import Send
+from repro.sim.metrics import MessageRecord
+from repro.sim.network import ClusterConfig
+from repro.sim.topology import Topology
+from repro.sync.protocol import Message
 from repro.wal import FileStorage, ReplicaWal, WalConfig
 
-HOST = "127.0.0.1"
-
-#: Milliseconds the shutdown handler waits for the response frame to
-#: flush before tearing the loop down.
+#: Seconds the shutdown handler waits for the response frame to flush
+#: before tearing the loop down.
 _SHUTDOWN_GRACE_S = 0.2
 
 
@@ -125,38 +120,46 @@ def portfile_path(run_dir: str, replica: int) -> str:
     return os.path.join(run_dir, f"r{replica:03d}.ports.json")
 
 
-class ReplicaProcess:
-    """The serving loop: one store, one peer listener, one client listener."""
+class _WireTotals:
+    """The sent-message totals STAT reports: a collector that keeps
+    sums, not the per-message records a long-lived process cannot."""
+
+    def __init__(self) -> None:
+        self.messages = 0
+        self.payload_bytes = 0
+        self.metadata_bytes = 0
+
+    def record_message(self, record: MessageRecord) -> None:
+        self.messages += 1
+        self.payload_bytes += record.payload_bytes
+        self.metadata_bytes += record.metadata_bytes
+
+
+class ReplicaProcess(TcpPeerPlane):
+    """The serving loop: one replica on the tcp peer plane, one client listener."""
 
     def __init__(self, options: ReplicaOptions) -> None:
+        n_nodes = max(options.replicas) + 1
+        # An all-to-all overlay; the real wire has no loss model.
+        peers = tuple(tuple(p for p in range(n_nodes) if p != r) for r in range(n_nodes))
+        super().__init__(ClusterConfig(Topology("replica-set", peers)), _WireTotals())
         self.options = options
         self.replica = options.replica
         self.round = 0
-        self._epoch = time.monotonic()
-        # Wiring state, updated by WIRE commands.
-        self.peer_addrs: Dict[int, Tuple[str, int]] = {}
-        self.down: set = set()
+        #: Peers the controller's partition puts out of reach (WIRE).
         self.blocked: set = set()
         # Counters the controller's termination detection polls.
         self.frames_sent = 0
         self.frames_delivered = 0
-        self.sends_blocked = 0
-        self.messages = 0
-        self.payload_bytes = 0
-        self.metadata_bytes = 0
         self.client_ops = 0
-        # Event-loop plumbing.
-        self._peer_writers: Dict[int, asyncio.StreamWriter] = {}
-        self._servers: List[asyncio.base_events.Server] = []
         self._shutdown = asyncio.Event()
 
-        self.tracer = None
         if options.trace_dir is not None:
             from repro.obs.trace import FileTraceSink, Tracer
 
             path = os.path.join(options.trace_dir, f"r{options.replica:03d}.jsonl")
             self.tracer = Tracer(FileTraceSink(path), origin=options.replica)
-            self.tracer.bind(self._now, lambda: self.round)
+            self.tracer.bind(lambda: self.now, lambda: self.round)
 
         self.storage: Optional[FileStorage] = None
         wal: Optional[ReplicaWal] = None
@@ -180,7 +183,7 @@ class ReplicaProcess:
             replica=options.replica,
             neighbors=neighbors,
             bottom=MapLattice(),
-            n_nodes=max(options.replicas) + 1,
+            n_nodes=n_nodes,
             ring=ring,
             inner_factory=KV_ALGORITHMS[options.algorithm],
             schema=Schema(),
@@ -195,34 +198,32 @@ class ReplicaProcess:
             self.replayed_shards = self.store.replay_wal(
                 verify=options.recovery == "wal+repair"
             )
+        self.runtime = ReplicaRuntime(self.store)
+        # The one hosted runtime, addressed by its replica index.
+        self.runtimes = {self.replica: self.runtime}
+        self.runtime.attach(self)
 
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
-
-    def _now(self) -> float:
-        return (time.monotonic() - self._epoch) * 1000.0
 
     def run(self) -> None:
         """Serve until SHUTDOWN (the ``repro serve-replica`` entrypoint)."""
         asyncio.run(self.serve())
 
     async def serve(self) -> None:
-        peer_server = await asyncio.start_server(self._accept_peer, HOST, 0)
+        peer_port = await self.listen(self.replica)
         client_server = await asyncio.start_server(self._accept_client, HOST, 0)
-        self._servers = [peer_server, client_server]
-        peer_port = peer_server.sockets[0].getsockname()[1]
         client_port = client_server.sockets[0].getsockname()[1]
         self._write_portfile(peer_port, client_port)
         try:
             await self._shutdown.wait()
         finally:
-            for server in self._servers:
-                server.close()
-            for server in self._servers:
-                await server.wait_closed()
-            for writer in self._peer_writers.values():
-                writer.close()
+            client_server.close()
+            await client_server.wait_closed()
+            # Readers from peers that are still serving would never
+            # end on their own: cancel them at once.
+            await self.close_sockets(grace_s=0)
             if self.tracer is not None:
                 self.tracer.close()
             if self.storage is not None:
@@ -249,132 +250,70 @@ class ReplicaProcess:
         os.replace(tmp, path)
 
     # ------------------------------------------------------------------
-    # Peer plane: the AsyncTcpTransport wire format, process-to-process.
+    # Peer plane: this process's side of the tcp peer plane.
     # ------------------------------------------------------------------
 
-    async def _accept_peer(self, reader, writer) -> None:
-        try:
-            handshake = await self._read_raw_frame(reader)
-            if handshake is None:
-                return
-            src = read_uvarint(BytesIO(handshake))
-            while True:
-                data = await self._read_raw_frame(reader)
-                if data is None:
-                    return
-                await self._deliver_peer_frame(src, data)
-        except asyncio.CancelledError:
-            raise
-        except ConnectionError:
-            pass
-        finally:
-            writer.close()
+    @property
+    def rounds_run(self) -> int:
+        return self.round
 
-    @staticmethod
-    async def _read_raw_frame(reader) -> Optional[bytes]:
-        try:
-            header = await reader.readexactly(frames.LENGTH_PREFIX_BYTES)
-            (length,) = struct.unpack(">I", header)
-            return await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return None
+    def run_round(self, updates=None) -> None:
+        """Tick this replica; the caller flushes, the controller settles.
+        Writes arrive as PUT requests, never as round ``updates``."""
+        if updates is not None:
+            raise ValueError("a replica process takes writes as PUT requests")
+        self.runtime.tick()
+        self.round += 1
+        if self.tracer is not None:
+            self.tracer.emit("round", round=self.round - 1)
 
-    async def _deliver_peer_frame(self, src: int, data: bytes) -> None:
-        message = decode_message(data)
+    def _check_addressing(self, src: int, send) -> None:
+        """Any replica the controller addressed is a peer: a leaving
+        replica drops out of the ring-derived neighbours while its
+        handoffs still await replies."""
+
+    def link_up(self, src: int, dst: int) -> bool:
+        """Sends go out only to connected peers the partition leaves in reach."""
+        return dst not in self.blocked and self.connected(src, dst)
+
+    async def _connect_peers(self) -> None:
+        """Close connections to peers that left the address map, which
+        holds the live replicas only; dial every addressed peer that has
+        none.  Sends to a peer without a connection are refused."""
+        for src, dst in list(self._writers):
+            if dst not in self.addresses:
+                self.disconnect(src, dst)
+        for dst in self.addresses:
+            if not self.connected(self.replica, dst):
+                try:
+                    await self.connect(self.replica, dst)
+                except OSError:
+                    pass  # sends to it are refused until a later dial succeeds
+
+    async def _receive(self, src: int, dst: int, message: Message) -> None:
         if self.tracer is not None:
             self.tracer.emit(
                 "deliver",
                 replica=src,
-                peer=self.replica,
+                peer=dst,
                 kind=message.kind,
                 payload_bytes=message.payload_bytes,
                 metadata_bytes=message.metadata_bytes,
             )
-        replies = self.store.handle_message(src, message)
-        await self._dispatch_sends(replies)
-        # Count delivery *after* replies are queued as sent: the
-        # controller's quiescence check (sent == delivered, stable)
-        # then never observes a state where this frame is consumed but
-        # its consequences are invisible.
+        self.runtime.deliver(src, message)
+        await self.flush()
+        # Counted only once the replies are flushed, so the controller
+        # never sees this frame consumed but its consequences invisible.
         self.frames_delivered += 1
 
-    async def _dispatch_sends(self, sends: Sequence[Send]) -> None:
-        for send in sends:
-            dst = send.dst
-            if dst in self.down or dst in self.blocked:
-                self.sends_blocked += 1
-                self.store.note_send_blocked(dst)
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "send-blocked",
-                        replica=self.replica,
-                        peer=dst,
-                        kind=send.message.kind,
-                    )
-                continue
-            writer = await self._peer_writer(dst)
-            if writer is None:
-                self.sends_blocked += 1
-                self.store.note_send_blocked(dst)
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "send-blocked",
-                        replica=self.replica,
-                        peer=dst,
-                        kind=send.message.kind,
-                    )
-                continue
-            frame = frame_message(send.message)
-            payload = frame.payload_bytes
-            metadata = frame.metadata_bytes + frames.LENGTH_PREFIX_BYTES
-            self.messages += 1
-            self.payload_bytes += payload
-            self.metadata_bytes += metadata
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "send",
-                    replica=self.replica,
-                    peer=dst,
-                    kind=send.message.kind,
-                    payload_bytes=payload,
-                    metadata_bytes=metadata,
-                    payload_units=send.message.payload_units,
-                    metadata_units=send.message.metadata_units,
-                )
-            writer.write(struct.pack(">I", len(frame.data)) + frame.data)
-            try:
-                await writer.drain()
-                self.frames_sent += 1
-            except ConnectionError:
-                # The peer died with the frame in flight: it was never
-                # delivered, and counting it as sent would wedge the
-                # controller's quiescence check.
-                self._drop_peer_writer(dst)
-                self.store.note_send_blocked(dst)
+    def _peer_failed(self, exc: Exception) -> None:
+        # A peer that closed or sent a malformed frame costs only its
+        # own connection; anything else is a bug worth a traceback.
+        if not isinstance(exc, (ConnectionError, CodecError)):
+            raise exc
 
-    async def _peer_writer(self, dst: int) -> Optional[asyncio.StreamWriter]:
-        writer = self._peer_writers.get(dst)
-        if writer is not None and not writer.is_closing():
-            return writer
-        addr = self.peer_addrs.get(dst)
-        if addr is None:
-            return None
-        try:
-            _, writer = await asyncio.open_connection(addr[0], addr[1])
-        except OSError:
-            return None
-        hello = BytesIO()
-        write_uvarint(hello, self.replica)
-        writer.write(
-            struct.pack(">I", len(hello.getvalue())) + hello.getvalue()
-        )
-        self._peer_writers[dst] = writer
-        return writer
-
-    def _drop_peer_writer(self, dst: int) -> None:
-        writer = self._peer_writers.pop(dst, None)
-        if writer is not None:
-            writer.close()
+    def _in_flight(self, dst: int, frames: int) -> None:
+        self.frames_sent += frames
 
     # ------------------------------------------------------------------
     # Client/control plane.
@@ -382,17 +321,11 @@ class ReplicaProcess:
 
     async def _accept_client(self, reader, writer) -> None:
         try:
-            while True:
-                data = await self._read_raw_frame(reader)
-                if data is None:
+            while (data := await read_frame(reader)) is not None:
+                if await self._serve_request(data, writer):
                     return
-                stop = await self._serve_request(data, writer)
-                if stop:
-                    return
-        except asyncio.CancelledError:
-            raise
-        except ConnectionError:
-            pass
+        except (ConnectionError, CodecError):
+            pass  # a client that closed, or sent an oversized frame
         finally:
             writer.close()
 
@@ -430,7 +363,9 @@ class ReplicaProcess:
         if verb == frames.PUT:
             self.client_ops += 1
             self._trace_client_op("put", request.key)
-            delta = self.store.update(request.key, request.op, *request.args)
+            delta = self.runtime.local_update(
+                KVUpdate(request.key, request.op, tuple(request.args))
+            )
             return Response(request.id, blob=encode(delta))
         if verb == frames.REMOVE:
             self.client_ops += 1
@@ -450,13 +385,11 @@ class ReplicaProcess:
         if verb == frames.PING:
             return Response(request.id, body={"replica": self.replica})
         if verb == frames.WIRE:
-            return self._handle_wire(request)
+            return await self._handle_wire(request)
         if verb == frames.TICK:
-            sends = self.store.sync_messages()
-            await self._dispatch_sends(sends)
-            self.round += 1
-            if self.tracer is not None:
-                self.tracer.emit("round", round=self.round - 1)
+            await self._connect_peers()
+            self.run_round()
+            await self.flush()
             return Response(request.id, body={"round": self.round})
         if verb == frames.COUNTERS:
             return Response(
@@ -464,7 +397,7 @@ class ReplicaProcess:
                 body={
                     "sent": self.frames_sent,
                     "delivered": self.frames_delivered,
-                    "blocked": self.sends_blocked,
+                    "blocked": self.messages_blocked,
                 },
             )
         if verb == frames.ROOTS:
@@ -512,37 +445,28 @@ class ReplicaProcess:
                 label=str(key),
             )
 
-    def _handle_wire(self, request: Request) -> Response:
+    async def _handle_wire(self, request: Request) -> Response:
         body = request.body
         if "addresses" in body:
-            self.peer_addrs = {
+            self.addresses = {
                 int(replica): (str(host), int(port))
                 for replica, (host, port) in body["addresses"].items()
                 if int(replica) != self.replica
             }
-            # Re-dial lazily: stale writers to respawned peers are
-            # dropped here and reopened at the next send.
-            for dst in list(self._peer_writers):
-                if dst not in self.peer_addrs:
-                    self._drop_peer_writer(dst)
-        if "down" in body:
-            self.down = {int(r) for r in body["down"]}
-            for dst in self.down:
-                self._drop_peer_writer(dst)
         if "blocked" in body:
             self.blocked = {int(r) for r in body["blocked"]}
-        if "reconnect" in body:
-            # A respawned peer has a fresh socket: drop cached writers
-            # so the next send dials the published address.
-            for dst in (int(r) for r in body["reconnect"]):
-                self._drop_peer_writer(dst)
+        # A respawned peer has a fresh socket: drop the connection to
+        # its predecessor so the dial below reaches the new address.
+        for dst in body.get("reconnect", ()):
+            self.disconnect(self.replica, int(dst))
+        await self._connect_peers()
         round_value = int(body.get("round", 0))
         if round_value > self.round:
             # A respawned process joining mid-run: realign the repair
             # scheduler with the cluster round so replayed δ-paths are
             # warm and coldness thresholds keep their meaning.
             self.round = round_value
-            self.store.restore_clock(round_value)
+            self.runtime.restore_clock(round_value)
         return Response(request.id, body={"round": self.round})
 
     def _handle_apply_ring(self, request: Request) -> Response:
@@ -576,10 +500,10 @@ class ReplicaProcess:
             "replica": self.replica,
             "pid": os.getpid(),
             "round": self.round,
-            "messages": self.messages,
-            "payload_bytes": self.payload_bytes,
-            "metadata_bytes": self.metadata_bytes,
-            "blocked": self.sends_blocked,
+            "messages": self.metrics.messages,
+            "payload_bytes": self.metrics.payload_bytes,
+            "metadata_bytes": self.metrics.metadata_bytes,
+            "blocked": self.messages_blocked,
             "client_ops": self.client_ops,
             "pending_handoffs": self.store.scheduler.pending_handoffs(),
             "replayed_shards": self.replayed_shards,

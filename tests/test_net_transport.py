@@ -226,3 +226,73 @@ class TestTcpTransport:
         transport = AsyncTcpTransport(ClusterConfig(line(2)), MetricsCollector(2))
         assert not hasattr(transport, "queue")
         transport.close()
+
+
+class _DroppedConnection:
+    """A writer whose peer went away: writes buffer, the drain fails."""
+
+    def __init__(self):
+        self.closed = False
+
+    def write(self, data):
+        pass
+
+    def is_closing(self):
+        return self.closed
+
+    async def drain(self):
+        raise ConnectionResetError("peer gone")
+
+    def close(self):
+        self.closed = True
+
+
+class TestTcpPeerPlane:
+    """The flush half of the send path shared by tcp and serving replicas."""
+
+    @staticmethod
+    def state_sends(runtime, elements):
+        """One state message to replica 1 per element, growing each time."""
+        sends = []
+        for element in elements:
+            runtime.local_update(lambda state, e=element: SetLattice({e}))
+            sends.extend(runtime.synchronizer.sync_messages())
+        return sends
+
+    def test_send_lost_at_flush_is_not_counted_and_marks_the_path(self):
+        cluster = Cluster(ClusterConfig(line(2)), StateBased, SetLattice(), "tcp")
+        transport = cluster.transport
+        sender = transport.runtimes[0]
+        blocked = []
+        sender.note_send_blocked = blocked.append
+        live = transport._writers[(0, 1)]
+        transport._writers[(0, 1)] = _DroppedConnection()
+        try:
+            transport.send(0, self.state_sends(sender, ["a"]))
+            transport._loop.run_until_complete(transport.flush())
+            assert transport._pending == 0
+            assert transport._pending_by_dst == {}
+            assert blocked == [1]
+            assert not transport.connected(0, 1)
+            # The message was transmitted and accounted; only its
+            # delivery was lost with the connection.
+            assert cluster.metrics.message_count == 1
+        finally:
+            transport._writers[(0, 1)] = live
+            cluster.close()
+
+    def test_frames_to_one_destination_arrive_in_send_order(self):
+        cluster = Cluster(ClusterConfig(line(2)), StateBased, SetLattice(), "tcp")
+        transport = cluster.transport
+        received = []
+        transport.runtimes[1].deliver = lambda src, message: received.append(
+            message.payload
+        )
+        try:
+            sends = self.state_sends(transport.runtimes[0], "abcdef")
+            transport.send(0, sends)
+            assert len(transport._outbox[(0, 1)]) == len(sends) == 6
+            transport._loop.run_until_complete(transport._settle())
+            assert received == [send.message.payload for send in sends]
+        finally:
+            cluster.close()

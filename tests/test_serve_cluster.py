@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
+import struct
 
 import pytest
 
 from repro.kv import KVRoutingError, Unavailable
 from repro.kv.antientropy import AntiEntropyConfig
-from repro.serve import KVClient, LoadGenerator, ProcessCluster
+from repro.net.tcp import MAX_FRAME_BYTES
+from repro.serve import ControlClient, KVClient, LoadGenerator, ProcessCluster, frames
 from repro.wal.storage import FileStorage, StorageLockError
 
 SHARDS = 8
@@ -191,8 +194,6 @@ def test_nonowner_put_is_a_routing_error_not_a_crash():
             outsider = next(
                 r for r in cluster.ring.replicas if r not in owners
             )
-            from repro.serve import frames
-
             with pytest.raises(KVRoutingError, match="does not own"):
                 cluster._controls[outsider].request(
                     frames.PUT, key="cnt:routed", op="increment", args=(1,)
@@ -230,3 +231,73 @@ def test_trace_dir_merges_per_process_files(tmp_path):
     # round k (events without a round sort first within their file).
     rounds = [e.round for e in events if e.round is not None]
     assert rounds == sorted(rounds)
+
+
+def test_send_path_totals_match_the_trace_across_partition_and_heal(tmp_path):
+    from repro.obs import read_trace, trace_totals
+
+    trace_dir = str(tmp_path / "trace")
+    with make_cluster(trace_dir=trace_dir) as cluster:
+        with make_client(cluster, route="random") as client:
+            generator = LoadGenerator(client, keys=16, seed=4)
+            for _ in range(10):
+                generator.run_op()
+            cluster.run_round(None)
+            cluster.partition([0, 1])
+            for _ in range(2):
+                for _ in range(10):
+                    generator.run_op()
+                cluster.run_round(None)
+            cluster.heal()
+            cluster.drain()
+            assert cluster.converged()
+        metrics = cluster.metrics
+        sent = (
+            metrics.message_count,
+            metrics.total_payload_bytes(),
+            metrics.total_metadata_bytes(),
+        )
+        blocked = sum(int(cluster.stat(r)["blocked"]) for r in cluster.live)
+    events = read_trace(trace_dir)
+    totals = trace_totals(events)
+    assert (
+        totals["messages"],
+        totals["payload_bytes"],
+        totals["metadata_bytes"],
+    ) == sent
+    assert sent[0] > 0
+    # The partition refused sends, and each refusal was traced once.
+    assert blocked > 0
+    assert sum(event.type == "send-blocked" for event in events) == blocked
+
+
+def test_oversized_client_frame_closes_only_its_connection():
+    with make_cluster() as cluster:
+        host, port = cluster.client_addresses()[0]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+            # The replica refuses the header and hangs up without
+            # buffering the announced body.
+            assert sock.recv(1) == b""
+        control = ControlClient(host, port, timeout_s=10)
+        try:
+            assert control.request(frames.PING).body == {"replica": 0}
+        finally:
+            control.close()
+
+
+def test_add_and_decommission_over_processes_converge():
+    with make_cluster() as cluster:
+        with make_client(cluster, route="random") as client:
+            generator = LoadGenerator(client, keys=16, seed=6)
+            for _ in range(15):
+                generator.run_op()
+            cluster.run_round(None)
+            cluster.add_replica(4)
+            cluster.drain()
+            # The leaver's handoff replies come from replicas whose
+            # ring no longer lists it.
+            cluster.decommission_replica(0)
+            cluster.drain()
+            assert cluster.converged()
+            assert cluster.pending_handoffs() == 0
